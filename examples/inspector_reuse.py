@@ -1,24 +1,23 @@
 #!/usr/bin/env python
-"""Inspector reuse and auto-selection — the library-adoption workflow.
+"""Inspector cost and auto-selection — the library-adoption workflow.
 
-Two features a downstream solver actually needs, composed:
+Two questions a downstream solver asks before reusing one schedule across
+many executions, answered together:
 
-* :class:`repro.core.HDaggInspector` analyses a DAG once and emits
-  schedules for any ``(cores, epsilon)`` — the expensive transitive
-  reduction and subtree grouping are cached across requests;
-* :func:`repro.suite.choose_scheduler` picks serial / wavefront / SpMP /
+* what does an inspection cost, and where does the time go?  A
+  ``(cores, epsilon)`` sweep through :data:`repro.schedulers.SCHEDULERS`
+  reports HDagg's inspector seconds per stage (``meta["stage_seconds"]``);
+* which scheduler pays for itself at my execution count?
+  :func:`repro.suite.choose_scheduler` picks serial / wavefront / SpMP /
   HDagg by total cost for an expected execution count (MKL's
   ``expected_calls`` knob made explicit, Section V-B economics).
 
 Run:  python examples/inspector_reuse.py
 """
 
-import time
-
 from repro import INTEL20, simulate
-from repro.core import HDaggInspector, hdagg
 from repro.kernels import KERNELS
-from repro.schedulers import serial_schedule
+from repro.schedulers import SCHEDULERS
 from repro.sparse import apply_ordering, lower_triangle, poisson2d
 from repro.suite import choose_scheduler, format_table
 
@@ -32,23 +31,22 @@ def main() -> None:
     memory = kernel.memory_model(low, g)
     print(f"system: n={g.n}, edges={g.n_edges}")
 
-    # ---- cached inspector vs one-shot across a (p, eps) sweep ----------
-    sweep = [(p, eps) for p in (4, 8, 16, 20) for eps in (0.1, 0.3, 0.5)]
-    t0 = time.perf_counter()
-    for p, eps in sweep:
-        hdagg(g, cost, p, epsilon=eps)
-    one_shot = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    inspector = HDaggInspector(g, cost)
-    for p, eps in sweep:
-        inspector.schedule(p, eps)
-    cached = time.perf_counter() - t0
-    info = inspector.cache_info()
+    # ---- where one inspection spends its time, across a (p, eps) sweep --
+    rows = []
+    for p in (4, 8, 16, 20):
+        for eps in (0.1, 0.3, 0.5):
+            schedule = SCHEDULERS["hdagg"](g, cost, p, epsilon=eps)
+            stages = schedule.meta["stage_seconds"]
+            rows.append(
+                [p, eps, schedule.n_levels, sum(stages.values()) * 1e3,
+                 max(stages, key=stages.get)]
+            )
     print(
-        f"sweep of {len(sweep)} schedules: one-shot {one_shot * 1e3:.0f} ms, "
-        f"cached inspector {cached * 1e3:.0f} ms "
-        f"({info['groupings']} groupings / {info['schedules']} schedules cached)"
+        format_table(
+            ["cores", "epsilon", "levels", "inspect ms", "slowest stage"],
+            rows,
+            title="HDagg inspection across a (cores, epsilon) sweep",
+        )
     )
 
     # ---- expected-calls-driven scheduler selection ----------------------
@@ -67,7 +65,7 @@ def main() -> None:
         )
     )
 
-    serial = simulate(serial_schedule(g, cost), g, cost, memory, INTEL20.scaled(1))
+    serial = simulate(SCHEDULERS["serial"](g, cost), g, cost, memory, INTEL20.scaled(1))
     best = choose_scheduler(g, cost, memory, INTEL20, 100_000)
     print(
         f"\nat 100k executions the {best.algorithm} schedule runs "

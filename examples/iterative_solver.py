@@ -20,7 +20,7 @@ from repro import INTEL20, hdagg, simulate
 from repro.kernels import SpIC0, SpTRSV
 from repro.kernels.sptrsv import sptrsv_levelwise, sptrsv_transpose_levelwise
 from repro.metrics import inspector_cost_model, nre
-from repro.schedulers import serial_schedule
+from repro.schedulers import SCHEDULERS
 from repro.sparse import apply_ordering, conjugate_gradient, poisson2d
 
 
@@ -59,7 +59,7 @@ def main() -> None:
     cost = trsv.cost(low)
     mem = trsv.memory_model(low, g_trsv)
     sched = hdagg(g_trsv, cost, INTEL20.n_cores)
-    serial = simulate(serial_schedule(g_trsv, cost), g_trsv, cost, mem, INTEL20.scaled(1))
+    serial = simulate(SCHEDULERS["serial"](g_trsv, cost), g_trsv, cost, mem, INTEL20.scaled(1))
     parallel = simulate(sched, g_trsv, cost, mem, INTEL20)
     insp = inspector_cost_model("hdagg", g_trsv, sched)
     required = nre(insp, serial, parallel)

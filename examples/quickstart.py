@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py [path/to/matrix.mtx]
 import sys
 
 from repro import INTEL20, SpILU0, hdagg, simulate
-from repro.schedulers import serial_schedule
+from repro.schedulers import SCHEDULERS
 from repro.sparse import apply_ordering, poisson2d, read_matrix_market
 
 
@@ -46,7 +46,7 @@ def main() -> None:
 
     # ---------------- simulated performance -------------------------
     memory = kernel.memory_model(a, g)
-    serial = simulate(serial_schedule(g, c), g, c, memory, INTEL20.scaled(1))
+    serial = simulate(SCHEDULERS["serial"](g, c), g, c, memory, INTEL20.scaled(1))
     parallel = simulate(schedule, g, c, memory, INTEL20)
     print(
         f"simulated on {INTEL20.name}: speedup {serial.makespan_cycles / parallel.makespan_cycles:.2f}x, "

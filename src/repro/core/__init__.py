@@ -15,7 +15,6 @@ from .incremental import (
     inspect_with_artifacts,
     repair_schedule,
 )
-from .inspector import HDaggInspector
 from .lbp import CoarsenedWavefront, LBPDecision, LBPResult, lbp_coarsen
 from .pgp import DEFAULT_EPSILON, accumulated_pgp, pgp, pgp_worst_case
 from .schedule import (
@@ -30,7 +29,6 @@ from .verify import VerificationReport, verify_schedule
 
 __all__ = [
     "hdagg",
-    "HDaggInspector",
     "level_table",
     "schedule_report",
     "utilization_chart",

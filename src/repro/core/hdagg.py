@@ -16,14 +16,14 @@ Pipeline:
 3. Expansion back to original iteration ids, smallest-id-first inside each
    bin (the spatial-locality rule of Section IV-C).
 
-Since the pass-pipeline refactor the stages live in
-:mod:`repro.passes.hdagg` as a declarative pass group with per-stage
-contracts; this module keeps the public entry point, the expansion stage
-implementation (it is also a backend-registry stage), and the driver that
-seeds the :class:`~repro.passes.base.PassContext`.  The keyword switches
-(``aggregate``, ``transitive_reduce``, ``bin_pack``) exist for the
-ablation studies and select contract-weakened pass-group variants; the
-defaults are the paper's algorithm.
+The stages live in :mod:`repro.passes.hdagg` as a declarative pass group
+with per-stage contracts, run by the same driver as every registered
+scheduler (:func:`repro.passes.registry.run_scheduler_group`); this module
+keeps the public entry point and the expansion stage implementation (it
+is also a backend-registry stage).  The keyword switches (``aggregate``,
+``transitive_reduce``, ``bin_pack``) exist for the ablation studies and
+select contract-weakened pass-group variants; the defaults are the
+paper's algorithm.
 """
 
 from __future__ import annotations
@@ -34,16 +34,14 @@ import numpy as np
 
 from ..graph.coarsen import Grouping
 from ..graph.dag import DAG, gather_slices
-from ..observability.state import STATE as _OBS_STATE
-from ..passes import PassContext, build_hdagg_group, run_group
-from ..runtime.perf import StageTimer
+from ..passes.base import PassContext
+from ..passes.hdagg import build_hdagg_group
+from ..passes.registry import run_scheduler_group
 from ..sparse.csr import INDEX_DTYPE
-from .backends import BackendSpec
 from .lbp import LBPResult
-from .pgp import DEFAULT_EPSILON
 from .schedule import Schedule, WidthPartition
 
-__all__ = ["hdagg", "expand_lbp_to_schedule"]
+__all__ = ["hdagg", "hdagg_context", "expand_lbp_to_schedule"]
 
 
 def _expand_bin(grouping: Grouping, coarse_ids: np.ndarray) -> np.ndarray:
@@ -140,19 +138,7 @@ def expand_lbp_to_schedule(
     )
 
 
-def hdagg(
-    g: DAG,
-    cost: np.ndarray,
-    p: int,
-    epsilon: float = DEFAULT_EPSILON,
-    *,
-    aggregate: bool = True,
-    transitive_reduce: bool = True,
-    bin_pack: bool = True,
-    group_cost_cap_fraction: float | None = 0.25,
-    sync: str = "barrier",
-    backend: "BackendSpec | str | None" = None,
-) -> Schedule:
+def hdagg(g: DAG, cost: np.ndarray, p: int, epsilon: float | None = None, **options) -> Schedule:
     """Build the HDagg schedule for DAG ``g`` with vertex costs ``cost``.
 
     Parameters
@@ -164,7 +150,8 @@ def hdagg(
     p:
         Number of physical cores (Listing 2's ``num_cores()``).
     epsilon:
-        Load-balance threshold for PGP (Listing 2's ``epsilon()``).
+        Load-balance threshold for PGP (Listing 2's ``epsilon()``);
+        ``None`` is :data:`~repro.core.pgp.DEFAULT_EPSILON`.
     aggregate:
         Disable to skip step 1 entirely (ablation: every vertex is its own
         group).
@@ -179,118 +166,47 @@ def hdagg(
         one core's fair share (``total_cost / p``); keeps tree-shaped
         reduced DAGs (chordal inputs) from collapsing into one sequential
         group.  ``None`` reproduces the paper's uncapped listing.
+        Default 0.25.
     sync:
-        ``"barrier"`` is the paper's executor (a global barrier between
-        coarsened wavefronts).  ``"p2p"`` is an extension: width-partitions
-        synchronise point-to-point like SpMP groups, letting coarsened
-        wavefronts overlap — safe because width-partitions are connected
-        components (no intra-level dependences by construction).
+        ``"barrier"`` (default) is the paper's executor (a global barrier
+        between coarsened wavefronts).  ``"p2p"`` is an extension:
+        width-partitions synchronise point-to-point like SpMP groups,
+        letting coarsened wavefronts overlap — safe because
+        width-partitions are connected components (no intra-level
+        dependences by construction).
     backend:
         Per-stage implementation selection (:class:`BackendSpec`, its
         string grammar such as ``"lbp=compiled,coarsen=compiled"``, or
         ``None`` to read the ``REPRO_BACKENDS`` environment variable).
         Every tier is bit-identical; the spec only changes speed.
+
+    The three ablation switches pick the pass-group variant
+    (:func:`~repro.passes.hdagg.build_hdagg_group`); the remaining options
+    and their defaults are declared by that group.
     """
-    schedule, _ = _hdagg_pipeline(
-        g, cost, p, epsilon,
-        aggregate=aggregate, transitive_reduce=transitive_reduce,
-        bin_pack=bin_pack, group_cost_cap_fraction=group_cost_cap_fraction,
-        sync=sync, backend=backend,
-    )
-    return schedule
+    return hdagg_context(g, cost, p, epsilon, **options)["Schedule"]
 
 
-def _hdagg_pipeline(
+def hdagg_context(
     g: DAG,
     cost: np.ndarray,
     p: int,
-    epsilon: float = DEFAULT_EPSILON,
+    epsilon: float | None = None,
     *,
     aggregate: bool = True,
     transitive_reduce: bool = True,
     bin_pack: bool = True,
-    group_cost_cap_fraction: float | None = 0.25,
-    sync: str = "barrier",
-    backend: "BackendSpec | str | None" = None,
-) -> tuple[Schedule, dict]:
-    """Algorithm 1 with its intermediate artifacts exposed.
+    **options,
+) -> PassContext:
+    """Algorithm 1 with every stage product kept.
 
-    Builds the context for the ``hdagg`` pass group (the ablation
-    switches pick the group variant), runs it through the generic
-    executor, and returns ``(schedule, internals)`` where ``internals``
-    carries every stage product the incremental repair path needs
-    (reduced DAG, grouping, coarse DAG, group costs, LBP result,
-    effective backend description).  :func:`hdagg` is the thin public
-    wrapper that drops the internals.
+    Runs the pass-group variant the ablation switches select through the
+    scheduler driver and returns its context: besides the ``Schedule`` it
+    holds the reduced DAG, grouping, coarse DAG, group costs, LBP result
+    and effective backend description the incremental repair path needs.
+    :func:`hdagg` is the thin wrapper that keeps only the schedule.
     """
-    cost = np.asarray(cost, dtype=np.float64)
-    if cost.shape[0] != g.n:
-        raise ValueError(f"cost has length {cost.shape[0]}, expected {g.n}")
-    spec = BackendSpec.coerce(backend)
-    if g.n == 0:
-        return (
-            Schedule(n=0, levels=[], sync="barrier", algorithm="hdagg", n_cores=p),
-            {"backend": spec.effective().describe()},
-        )
-    backend_used = spec.effective().describe()
-
     group = build_hdagg_group(
         aggregate=aggregate, transitive_reduce=transitive_reduce, bin_pack=bin_pack
     )
-    timer = StageTimer()
-    ctx = PassContext(
-        {
-            "DAG": g,
-            "Cost": cost,
-            "Cores": p,
-            "Epsilon": epsilon,
-            "Backend": backend_used,
-        },
-        timer=timer,
-        spec=spec,
-        options={
-            "group_cost_cap_fraction": group_cost_cap_fraction,
-            "bin_pack": bin_pack,
-            "sync": sync,
-        },
-    )
-    run_group(group, ctx)
-    schedule = ctx["Schedule"]
-    g_base, grouping = ctx["ReducedDAG"], ctx["Grouping"]
-    g2, group_cost = ctx["CoarseDAG"], ctx["GroupCost"]
-    lbp = ctx["CoarsenedWaves"]
-
-    # per-stage seconds for NRE-style reporting; to_dict() drops non-JSON
-    # meta values, so this never leaks into serialized schedules
-    schedule.meta["stage_seconds"] = timer.as_dict()
-    cap = (
-        group_cost_cap_fraction * float(cost.sum()) / p
-        if aggregate and group_cost_cap_fraction is not None
-        else None
-    )
-    internals = {
-        "g": g,
-        "g_base": g_base,
-        "grouping": grouping,
-        "g2": g2,
-        "group_cost": group_cost,
-        "lbp": lbp,
-        "backend": backend_used,
-        "cap": cap,
-    }
-    if _OBS_STATE.enabled and _OBS_STATE.registry is not None:
-        # metrics are recorded post-hoc from the LBP decision log / packing
-        # results, so the inspector hot loops stay untouched
-        reg = _OBS_STATE.registry
-        reg.counter("inspector.vertices").inc(g.n)
-        reg.counter("inspector.vertices_coarsened").inc(g.n - g2.n)
-        reg.gauge("inspector.coarse_vertices").set(g2.n)
-        reg.gauge("inspector.accumulated_pgp").set(lbp.accumulated_pgp)
-        pgp_hist = reg.histogram("inspector.pgp_at_merge")
-        for decision in lbp.decisions or []:
-            pgp_hist.observe(decision.pgp)
-        occupancy = reg.histogram("binpack.occupancy")
-        for cw in lbp.coarsened:
-            if cw.packing is not None and p > 0:
-                occupancy.observe(cw.packing.n_bins_used / p)
-    return schedule, internals
+    return run_scheduler_group(group, g, cost, p, epsilon=epsilon, **options)

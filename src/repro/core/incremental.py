@@ -47,7 +47,7 @@ from ..graph.wavefronts import compute_wavefronts
 from ..passes import build_hdagg_group, plan_repair
 from ..sparse.csr import INDEX_DTYPE
 from .backends import BackendSpec, resolve_stage
-from .hdagg import _expand_cw, _grouping_csr, _hdagg_pipeline
+from .hdagg import _expand_cw, _grouping_csr, hdagg_context
 from .lbp import CoarsenedWavefront, LBPDecision, LBPResult, _RangeComponents
 from .pgp import DEFAULT_EPSILON, pgp
 from .schedule import Schedule, WidthPartition
@@ -219,9 +219,9 @@ def inspect_with_artifacts(
 ) -> InspectionArtifacts:
     """Full HDagg inspection that keeps its intermediates.
 
-    Identical to :func:`repro.core.hdagg.hdagg` (same pipeline call, same
-    schedule) but returns the stage products a later
-    :func:`repair_schedule` needs.  ``options`` accepts the :func:`hdagg`
+    Identical to :func:`repro.core.hdagg.hdagg` (same driver call, same
+    schedule) but keeps the stage products a later
+    :func:`repair_schedule` needs, read off the run's context.  ``options`` accepts the :func:`hdagg`
     keyword switches (``aggregate``, ``transitive_reduce``, ``bin_pack``,
     ``group_cost_cap_fraction``, ``sync``).
     """
@@ -230,26 +230,19 @@ def inspect_with_artifacts(
         raise TypeError(f"unknown inspection options: {sorted(unknown)}")
     opts = dict(_DEFAULT_OPTIONS)
     opts.update(options)
-    schedule, internals = _hdagg_pipeline(g, cost, p, epsilon, backend=backend, **opts)
-    empty_lbp = LBPResult(
-        coarsened=[],
-        waves=compute_wavefronts(DAG.empty(0)),
-        fine_grained=False,
-        accumulated_pgp=0.0,
-        decisions=[],
-    )
+    ctx = hdagg_context(g, cost, p, epsilon, backend=backend, **opts)
     return InspectionArtifacts(
         g=g,
-        cost=np.asarray(cost, dtype=np.float64),
+        cost=ctx["Cost"],
         p=p,
         epsilon=epsilon,
-        g_base=internals.get("g_base", g),
-        grouping=internals.get("grouping", identity_grouping(g.n)),
-        g2=internals.get("g2", DAG.empty(0)),
-        group_cost=internals.get("group_cost", np.empty(0, dtype=np.float64)),
-        lbp=internals.get("lbp", empty_lbp),
-        schedule=schedule,
-        backend=internals["backend"],
+        g_base=ctx["ReducedDAG"],
+        grouping=ctx["Grouping"],
+        g2=ctx["CoarseDAG"],
+        group_cost=ctx["GroupCost"],
+        lbp=ctx["CoarsenedWaves"],
+        schedule=ctx["Schedule"],
+        backend=ctx["Backend"],
         options=opts,
     )
 

@@ -93,10 +93,7 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
 
     wall_recorder = TimelineRecorder()
     with observed() as (tracer, registry):
-        kwargs = {}
-        if args.epsilon is not None and args.algorithm in ("hdagg", "lbc"):
-            kwargs["epsilon"] = args.epsilon
-        schedule = SCHEDULERS[args.algorithm](g, cost, p, **kwargs)
+        schedule = SCHEDULERS[args.algorithm](g, cost, p, epsilon=args.epsilon)
         sim = simulate(schedule, g, cost, memory, machine,
                        collect_timeline=True)
         wall_timeline = None

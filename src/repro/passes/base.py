@@ -130,8 +130,11 @@ class PassGroup:
     ``inputs`` are the artifacts the driver seeds the context with;
     ``assumes`` the invariants the driver guarantees on them (kernels
     build id-topological, acyclic DAGs); ``outputs`` what the group must
-    have produced when it finishes.  Groups are registered per scheduler
-    in :mod:`repro.passes.registry`.
+    have produced when it finishes.  ``options`` are the keyword options
+    the group takes, with their defaults: ``epsilon`` and ``backend``
+    seed the ``Epsilon`` / ``Backend`` artifacts, every other option
+    reaches the passes as ``ctx.options``.  Groups are registered per
+    scheduler in :mod:`repro.passes.registry`.
     """
 
     name: str
@@ -140,6 +143,7 @@ class PassGroup:
     outputs: Tuple[str, ...] = ("Schedule",)
     assumes: Tuple[str, ...] = ()
     description: str = ""
+    options: Mapping[str, Any] = field(default_factory=dict)
 
     def pass_named(self, name: str) -> Pass:
         for p in self.passes:

@@ -4,14 +4,14 @@ The level-set family (wavefront, SpMP, MKL-style) shares one
 ``wavefronts`` pass and differs only in its emit pass — chunking policy
 and synchronisation model are *configuration*.  ``coarsenk`` adds a
 fixed-window merge pass between the two.  LBC and DAGP keep their
-monolithic algorithms as single passes with full contracts: the verifier
-still checks their dataflow, and decomposing them further is a follow-up,
-not a prerequisite.
+monolithic algorithms (:mod:`repro.schedulers.lbc`,
+:mod:`repro.schedulers.dagp`) as single passes with full contracts: the
+verifier still checks their dataflow, and decomposing them further is a
+follow-up, not a prerequisite.
 
-Pass bodies here are the moved bodies of the original scheduler
-functions; the functions in :mod:`repro.schedulers` now build a context
-and run their registered group, so golden-schedule snapshots prove the
-refactor changed nothing byte for byte.
+Each group declares the options it takes with their defaults; the
+registry entry :data:`repro.schedulers.SCHEDULERS` ``[name]`` runs the
+group through :func:`repro.passes.registry.run_scheduler_group`.
 """
 
 from __future__ import annotations
@@ -58,6 +58,30 @@ _WAVEFRONTS_PASS = Pass(
 
 # ----------------------------------------------------------------------
 # wavefront / spmp / mkl emit passes
+#
+# Wavefront is the classic inspector [2], [3]: traverse the DAG in
+# topological order to build the wavefronts; each wavefront's iterations
+# run in parallel and a global barrier follows every wavefront.  Within a
+# wavefront, rows are split into at most ``p`` contiguous cost-balanced
+# chunks (``omp parallel for`` with static cost-aware chunking).  The
+# weaknesses the paper calls out — a barrier per level (count grows with
+# the critical path), no reuse of dependent iterations on one core — fall
+# out of the structure and are measured by the metrics layer.
+#
+# SpMP [4] keeps the same cost-balanced chunks but synchronises them
+# point-to-point (see :mod:`repro.schedulers.spmp`).
+#
+# MKL substitution note (see DESIGN.md): Intel MKL is closed source, so the
+# paper's MKL column is modelled by what ``mkl_sparse_optimize`` + parallel
+# ``mkl_sparse_d_trsv`` publicly do for triangular solves: level-set
+# scheduling with a barrier per level and *cost-oblivious* static chunking
+# of each level across threads (equal row counts, not equal work).  The
+# cost-obliviousness is the behavioural difference from the tuned Wavefront
+# baseline and is what makes the vendor column weaker on skewed matrices,
+# in line with the paper's larger average speedup over MKL (3.56x) than
+# over Wavefront (1.95x).  MKL's inspection is also the most expensive of
+# the level-set family (the paper sets ``expected_calls = 1000``); the
+# harness models that with a higher per-edge inspector constant.
 # ----------------------------------------------------------------------
 def _emit_levels(ctx: PassContext, *, chunk: str, sync: str, algorithm: str) -> Mapping[str, Any]:
     from ..core.schedule import Schedule, WidthPartition
@@ -160,6 +184,20 @@ def build_mkl_group() -> PassGroup:
 
 # ----------------------------------------------------------------------
 # coarsenk: fixed-window merge between the shared passes
+#
+# The prior art LBP improves on: the paper cites wavefront-coarsening
+# approaches [5], [6] that "merge vertices across wavefronts to create
+# well-balanced coarsened wavefronts" with a *fixed* policy, contrasting
+# them with LBP's balance-preserving cuts.  This baseline merges every
+# ``k`` consecutive wavefronts regardless of what that does to the
+# component structure, then packs the merged range's connected components
+# into ``p`` bins (packing components is mandatory for correctness —
+# partitions of one level must not depend on each other).
+#
+# Its failure mode is exactly what Section IV-C predicts: a window that
+# crosses a connectivity bottleneck produces a single giant component and a
+# serialised level.  The ablation benchmark uses it to quantify what the
+# PGP-driven cut policy is worth.
 # ----------------------------------------------------------------------
 def _run_window_merge(ctx: PassContext) -> Mapping[str, Any]:
     from ..core.binpack import first_fit_pack
@@ -170,6 +208,8 @@ def _run_window_merge(ctx: PassContext) -> Mapping[str, Any]:
     p = ctx["Cores"]
     waves = ctx["Wavefronts"]
     k = ctx.options["k"]
+    if k < 1:
+        raise ValueError("window k must be >= 1")
     windows = []
     for lo in range(0, waves.n_levels, k):
         hi = min(lo + k, waves.n_levels)
@@ -237,6 +277,7 @@ def build_coarsen_k_group() -> PassGroup:
         inputs=("DAG", "Cost", "Cores"),
         assumes=("acyclic", "topo-ordered"),
         description="fixed-window wavefront coarsening with component packing",
+        options={"k": 4},  # levels per coarsened wavefront
     )
 
 
@@ -244,14 +285,14 @@ def build_coarsen_k_group() -> PassGroup:
 # serial / lbc / dagp: single-pass groups
 # ----------------------------------------------------------------------
 def _run_serial(ctx: PassContext) -> Mapping[str, Any]:
+    # the sequential baseline every NRE computation needs: all iterations
+    # in ascending id order on core 0, no synchronisation
     from ..core.schedule import Schedule, WidthPartition
     from ..sparse.csr import INDEX_DTYPE
 
     g = ctx["DAG"]
-    part = WidthPartition(core=0, vertices=np.arange(g.n, dtype=INDEX_DTYPE))
-    schedule = Schedule(
-        n=g.n, levels=[[part]], sync="barrier", algorithm="serial", n_cores=1
-    )
+    levels = [[WidthPartition(core=0, vertices=np.arange(g.n, dtype=INDEX_DTYPE))]] if g.n else []
+    schedule = Schedule(n=g.n, levels=levels, sync="barrier", algorithm="serial", n_cores=1)
     return {"Schedule": schedule}
 
 
@@ -286,6 +327,8 @@ def _run_lbc(ctx: PassContext) -> Mapping[str, Any]:
 
 
 def build_lbc_group() -> PassGroup:
+    from ..core.pgp import DEFAULT_EPSILON
+
     return PassGroup(
         name="lbc",
         passes=(
@@ -304,6 +347,7 @@ def build_lbc_group() -> PassGroup:
         inputs=("DAG", "Cost", "Cores", "Epsilon"),
         assumes=("acyclic", "topo-ordered"),
         description="elimination-tree cut with packed subtrees (ParSy)",
+        options={"epsilon": DEFAULT_EPSILON},
     )
 
 
@@ -334,4 +378,5 @@ def build_dagp_group() -> PassGroup:
         inputs=("DAG", "Cost", "Cores"),
         assumes=("acyclic", "topo-ordered"),
         description="acyclic partitioning with a list-scheduled quotient DAG",
+        options={"k": 1000},  # the paper's best-performing part count
     )

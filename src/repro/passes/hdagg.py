@@ -19,8 +19,10 @@ expand     CoarsenedWaves, Grouping...  Schedule
 (same timer window, same fault site — only the contract loses
 ``transitively-reduced``), ``aggregate=False`` replaces step 1 with an
 identity grouping, ``bin_pack=False`` swaps the LBP pass for the
-force-fine-grained variant.  This is ROADMAP item 5's point: ablations and
-successor schedulers are different pass lists, not code surgery.
+force-fine-grained variant.  Ablations and successor schedulers are
+different pass lists, not code surgery.  Every variant declares the same
+options: the load-balance threshold, the backend spec, the step-1 group
+cap, and the synchronisation model.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def _run_reduce_identity(ctx: PassContext) -> Mapping[str, Any]:
 
 def _run_aggregate(ctx: PassContext) -> Mapping[str, Any]:
     cost = ctx["Cost"]
-    cap_fraction = ctx.options.get("group_cost_cap_fraction")
+    cap_fraction = ctx.options["group_cost_cap_fraction"]
     cap = (
         cap_fraction * float(cost.sum()) / ctx["Cores"]
         if cap_fraction is not None
@@ -98,11 +100,15 @@ def _run_lbp(ctx: PassContext) -> Mapping[str, Any]:
         allow_fine_grained=True,
         pack=None if pack_tier == "numpy" else pack_fn,
     )
-    if not ctx.options.get("bin_pack", True):
-        # ablation of Lines 36-38: force fine-grained regardless of the
-        # accumulated PGP.  The flag is flipped on the pass's own product
-        # before publishing — input artifacts are never touched.
-        lbp.fine_grained = True
+    return {"CoarsenedWaves": lbp}
+
+
+def _run_lbp_fine_grained(ctx: PassContext) -> Mapping[str, Any]:
+    # ablation of Lines 36-38 (bin_pack=False): force fine-grained
+    # regardless of the accumulated PGP.  The flag is flipped on the pass's
+    # own product before publishing — input artifacts are never touched.
+    lbp = _run_lbp(ctx)["CoarsenedWaves"]
+    lbp.fine_grained = True
     return {"CoarsenedWaves": lbp}
 
 
@@ -110,7 +116,8 @@ def _run_expand(ctx: PassContext) -> Mapping[str, Any]:
     g = ctx["DAG"]
     lbp = ctx["CoarsenedWaves"]
     grouping = ctx["Grouping"]
-    meta: Dict[str, Any] = {
+    # an empty DAG yields a bare schedule, as every single-pass scheduler's does
+    meta: Dict[str, Any] = {} if g.n == 0 else {
         "n_groups": grouping.n_groups,
         "n_edges_original": g.n_edges,
         "n_edges_reduced": ctx["ReducedDAG"].n_edges,
@@ -127,7 +134,7 @@ def _run_expand(ctx: PassContext) -> Mapping[str, Any]:
         grouping,
         g.n,
         ctx["Cores"],
-        sync=ctx.options.get("sync", "barrier"),
+        sync=ctx.options["sync"],
         meta=meta,
     )
     return {"Schedule": schedule}
@@ -160,6 +167,8 @@ def build_hdagg_group(
     registered as ``"hdagg"``.  Toggles swap passes for contract-weakened
     variants instead of branching inside pass bodies.
     """
+    from ..core.pgp import DEFAULT_EPSILON
+
     passes = []
     if aggregate:
         reduce_establishes = ("transitively-reduced",) if transitive_reduce else ()
@@ -243,7 +252,7 @@ def build_hdagg_group(
                 establishes=("balanced-under-epsilon",) if bin_pack else (),
                 preserves=("bit-identical-under-backend",),
             ),
-            run=_run_lbp,
+            run=_run_lbp if bin_pack else _run_lbp_fine_grained,
             stage="lbp",
             tiers=("reference", "numpy", "compiled"),
             timer_label="lbp",
@@ -296,4 +305,10 @@ def build_hdagg_group(
         outputs=("Schedule",),
         assumes=HDAGG_ASSUMES,
         description="HDagg Algorithm 1: reduce -> aggregate -> coarsen -> LBP -> expand",
+        options={
+            "epsilon": DEFAULT_EPSILON,  # PGP threshold (Listing 2's epsilon())
+            "backend": None,  # BackendSpec, its grammar, or None: REPRO_BACKENDS
+            "group_cost_cap_fraction": 0.25,  # None: the paper's uncapped step 1
+            "sync": "barrier",  # or "p2p" between width-partitions
+        },
     )

@@ -1,17 +1,24 @@
-"""Registry of scheduler pass groups, and the driver that runs one.
+"""The scheduler registry, and the one driver that runs a scheduler.
 
-``PASS_GROUPS`` maps every scheduler name in
-:data:`repro.schedulers.SCHEDULERS` to its declarative pass group.  CI
-verifies each registered group with :func:`repro.statan.verify_pipeline`
-before any of them run, so an ill-formed recombination (a successor
-scheduler wired from existing passes, a compiled stage dropped in) is a
-structured diagnostic, not a runtime crash.
+A scheduler is a pass group and nothing more.  :func:`register_pass_group`
+puts a group in ``PASS_GROUPS`` and installs ``SCHEDULERS[name]``, a
+generic runner with the uniform signature ``(g, cost, p=1, **options) ->
+Schedule``.  The runner looks the group up in ``PASS_GROUPS`` on every
+call, so replacing the registered group (a successor scheduler, a timed
+copy) changes what the entry runs.  A group declares the options it takes
+and their defaults (``PassGroup.options``); :func:`run_scheduler_group`
+seeds the context from them.  CI verifies each registered group with
+:func:`repro.statan.verify_pipeline` before any of them run, so an
+ill-formed recombination is a structured diagnostic, not a runtime crash.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Optional
 
+import numpy as np
+
+from ..observability.state import STATE as _OBS_STATE
 from .base import PassContext, PassGroup
 from .baselines import (
     build_coarsen_k_group,
@@ -25,15 +32,34 @@ from .baselines import (
 from .executor import run_group
 from .hdagg import build_hdagg_group
 
-__all__ = ["PASS_GROUPS", "register_pass_group", "get_pass_group", "run_scheduler_group"]
+__all__ = [
+    "PASS_GROUPS",
+    "SCHEDULERS",
+    "register_pass_group",
+    "get_pass_group",
+    "run_scheduler_group",
+]
 
 #: scheduler name -> declarative pass group
 PASS_GROUPS: Dict[str, PassGroup] = {}
 
+#: scheduler name -> runner ``(g, cost, p=1, **options) -> Schedule``;
+#: written only by :func:`register_pass_group`
+SCHEDULERS: Dict[str, Callable[..., Any]] = {}
+
+#: options every caller may pass; a group without the matching input drops them
+_SHARED_OPTIONS = (("epsilon", "Epsilon"), ("backend", "Backend"))
+
 
 def register_pass_group(group: PassGroup, *, name: Optional[str] = None) -> PassGroup:
-    """Add (or replace) a group in the registry under ``name`` or its own."""
-    PASS_GROUPS[name or group.name] = group
+    """Register ``group`` as the scheduler ``name`` (default: its own name).
+
+    Adds (or replaces) the group in :data:`PASS_GROUPS` and installs the
+    runner for ``name`` in :data:`SCHEDULERS`.
+    """
+    key = name or group.name
+    PASS_GROUPS[key] = group
+    SCHEDULERS[key] = _runner(key)
     return group
 
 
@@ -47,42 +73,94 @@ def get_pass_group(name: str) -> PassGroup:
         ) from None
 
 
-def run_scheduler_group(
-    name: str,
-    g: Any,
-    cost: Any,
-    p: int,
-    *,
-    epsilon: Optional[float] = None,
-    backend: Any = None,
-    options: Optional[Mapping[str, Any]] = None,
-) -> Any:
-    """Build a context for one scheduler group and execute it.
+def _runner(name: str) -> Callable[..., Any]:
+    """The registry entry for ``name``.
 
-    This is the uniform driver the baseline scheduler functions delegate
-    to.  The HDagg driver (:func:`repro.core.hdagg._hdagg_pipeline`)
-    builds a richer context (stage timer, ablation switches), but the
-    ``"hdagg"`` group runs here too: when a group declares ``Backend``
-    among its inputs the driver coerces ``backend`` (spec, grammar
-    string, or ``None`` for the ambient default) and seeds the artifact.
-    ``epsilon`` may come as the keyword or as ``options["epsilon"]``.
+    Registry dispatch is what gets an ``inspect/<name>`` span and an
+    ``inspector.runs.<name>`` count when the ambient observability state
+    is on; disabled, it costs one attribute read.
     """
-    group = get_pass_group(name)
+
+    def schedule(g: Any, cost: Any, p: int = 1, **options: Any) -> Any:
+        if not _OBS_STATE.enabled:
+            return run_scheduler_group(PASS_GROUPS[name], g, cost, p, **options)["Schedule"]
+        with _OBS_STATE.tracer.span(f"inspect/{name}", n=int(getattr(g, "n", -1)), p=int(p)):
+            ctx = run_scheduler_group(PASS_GROUPS[name], g, cost, p, **options)
+        if _OBS_STATE.registry is not None:
+            _OBS_STATE.registry.counter(f"inspector.runs.{name}").inc()
+        return ctx["Schedule"]
+
+    return schedule
+
+
+def run_scheduler_group(
+    group: PassGroup, g: Any, cost: Any, p: int = 1, **options: Any
+) -> PassContext:
+    """Seed a context for ``group`` from its declared options and run it.
+
+    ``options`` override the group's defaults.  ``epsilon`` and
+    ``backend`` are accepted by every group (``None`` means the default)
+    and dropped when the group has no ``Epsilon`` / ``Backend`` input;
+    any other option the group does not declare raises ``TypeError``.
+    The backend spec is coerced (spec, grammar string, or ``None`` for
+    the ambient default) and its effective description seeds
+    ``Backend``.  Passes with a ``timer_label`` are timed into
+    ``Schedule.meta["stage_seconds"]``.  Returns the context, which
+    keeps every intermediate artifact next to the ``Schedule``.
+    """
+    from ..core.backends import BackendSpec
+    from ..runtime.perf import StageTimer
+
+    for option, artifact in _SHARED_OPTIONS:
+        if artifact not in group.inputs or options.get(option) is None:
+            options.pop(option, None)
+    unknown = sorted(set(options) - set(group.options))
+    if unknown:
+        raise TypeError(
+            f"scheduler {group.name!r} got unexpected options {unknown}; "
+            f"it takes {sorted(group.options)}"
+        )
+    opts = {**group.options, **options}
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.shape[0] != g.n:
+        raise ValueError(f"cost has length {cost.shape[0]}, expected {g.n}")
     artifacts: Dict[str, Any] = {"DAG": g, "Cost": cost, "Cores": p}
-    opts = dict(options or {})
-    if epsilon is None and "epsilon" in opts:
-        epsilon = opts.pop("epsilon")
-    if epsilon is not None:
-        artifacts["Epsilon"] = epsilon
+    if "Epsilon" in group.inputs:
+        artifacts["Epsilon"] = opts.pop("epsilon")
     spec: Any = None
     if "Backend" in group.inputs:
-        from ..core.backends import BackendSpec
-
-        spec = BackendSpec.coerce(backend)
+        spec = BackendSpec.coerce(opts.pop("backend"))
         artifacts["Backend"] = spec.effective().describe()
-    ctx = PassContext(artifacts, spec=spec, options=opts)
-    run_group(group, ctx)
-    return ctx["Schedule"]
+    timer = StageTimer()
+    ctx = run_group(group, PassContext(artifacts, timer=timer, spec=spec, options=opts))
+    stages = timer.as_dict()
+    if stages:
+        # to_dict() drops non-JSON meta values, so this never leaks into
+        # serialized schedules
+        ctx["Schedule"].meta["stage_seconds"] = stages
+    if _OBS_STATE.enabled and _OBS_STATE.registry is not None and ctx.has("CoarsenedWaves"):
+        _record_lbp_metrics(_OBS_STATE.registry, ctx)
+    return ctx
+
+
+def _record_lbp_metrics(reg: Any, ctx: PassContext) -> None:
+    """Inspector metrics of a group with an LBP stage (HDagg).
+
+    Recorded post hoc from the LBP decision log and packing results, so
+    the inspector hot loops stay untouched.
+    """
+    g, g2, lbp, p = ctx["DAG"], ctx["CoarseDAG"], ctx["CoarsenedWaves"], ctx["Cores"]
+    reg.counter("inspector.vertices").inc(g.n)
+    reg.counter("inspector.vertices_coarsened").inc(g.n - g2.n)
+    reg.gauge("inspector.coarse_vertices").set(g2.n)
+    reg.gauge("inspector.accumulated_pgp").set(lbp.accumulated_pgp)
+    pgp_hist = reg.histogram("inspector.pgp_at_merge")
+    for decision in lbp.decisions or []:
+        pgp_hist.observe(decision.pgp)
+    occupancy = reg.histogram("binpack.occupancy")
+    for cw in lbp.coarsened:
+        if cw.packing is not None and p > 0:
+            occupancy.observe(cw.packing.n_bins_used / p)
 
 
 register_pass_group(build_hdagg_group())

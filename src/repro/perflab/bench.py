@@ -73,15 +73,10 @@ def inspector_rep(
     g = cell.dag
     cost = np.asarray(cell.cost, dtype=np.float64)[: g.n]
     p = cell.machine.n_cores
-    kwargs = {}
-    if epsilon is not None and algorithm in ("hdagg", "lbc"):
-        kwargs["epsilon"] = epsilon
-    if backend is not None and algorithm == "hdagg":
-        kwargs["backend"] = backend
 
     def rep() -> RepResult:
         t0 = time.perf_counter()
-        schedule = SCHEDULERS[algorithm](g, cost, p, **kwargs)
+        schedule = SCHEDULERS[algorithm](g, cost, p, epsilon=epsilon, backend=backend)
         t_inspect = time.perf_counter() - t0
         stages: Dict[str, float] = {"inspect": t_inspect}
         for name, seconds in schedule.meta.get("stage_seconds", {}).items():

@@ -1,7 +1,11 @@
 """Inspector algorithms: HDagg plus the paper's baselines.
 
-``SCHEDULERS`` maps names to builders with the uniform signature
-``builder(g, cost, p, **options) -> Schedule``:
+``SCHEDULERS`` maps names to runners with the uniform signature
+``scheduler(g, cost, p=1, **options) -> Schedule``.  Each entry runs the
+pass group registered under its name (:mod:`repro.passes.baselines`,
+:mod:`repro.passes.hdagg`); the group declares the options it takes.
+``epsilon=`` and ``backend=`` are accepted everywhere and ignored by the
+groups that have no use for them.
 
 ========== ====================================================
 name        algorithm
@@ -17,41 +21,16 @@ serial      sequential order (NRE denominator)
 ========== ====================================================
 """
 
-from ..core.hdagg import hdagg
-from ..core.schedule import Schedule
-from ..graph.dag import DAG
-from .base import SCHEDULERS, chunk_by_cost, chunk_by_count, get_scheduler, register_scheduler
-from .coarsen_k import coarsen_k_schedule
-from .dagp import acyclic_partition, dagp_schedule, edge_cut
-from .lbc import elimination_tree, forest_components, lbc_schedule, tree_levels
-from .mkl_like import mkl_like_schedule
-from .serial import serial_schedule
-from .spmp import lpt_assign, spmp_schedule
-from .wavefront import wavefront_schedule
-
-import numpy as np
-
-
-@register_scheduler("hdagg")
-def hdagg_schedule(g: DAG, cost: np.ndarray, p: int, **options) -> Schedule:
-    """Registry adapter for :func:`repro.core.hdagg.hdagg`."""
-    return hdagg(g, cost, p, **options)
-
+from .base import SCHEDULERS, chunk_by_cost, chunk_by_count, get_scheduler
+from .dagp import acyclic_partition, edge_cut
+from .lbc import elimination_tree, forest_components, tree_levels
+from .spmp import lpt_assign
 
 __all__ = [
     "SCHEDULERS",
     "get_scheduler",
-    "register_scheduler",
     "chunk_by_cost",
     "chunk_by_count",
-    "hdagg_schedule",
-    "wavefront_schedule",
-    "spmp_schedule",
-    "lbc_schedule",
-    "dagp_schedule",
-    "mkl_like_schedule",
-    "serial_schedule",
-    "coarsen_k_schedule",
     "acyclic_partition",
     "edge_cut",
     "elimination_tree",

@@ -1,23 +1,23 @@
 """Shared scaffolding for the baseline inspectors.
 
-Every scheduler in this package has the signature
-``schedule(g, cost, p, **options) -> Schedule`` so the harness can treat the
-paper's five comparison points (Wavefront, SpMP, LBC, DAGP, MKL) and HDagg
-uniformly.  The registry at the bottom maps names to callables.
+Every entry of :data:`SCHEDULERS` has the signature
+``schedule(g, cost, p=1, **options) -> Schedule`` so the harness can treat
+the paper's five comparison points (Wavefront, SpMP, LBC, DAGP, MKL) and
+HDagg uniformly.  The registry itself lives in
+:mod:`repro.passes.registry`: registering a pass group is what makes a
+scheduler.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Callable, Dict, List
+from typing import Any, Callable, List
 
 import numpy as np
 
-from ..core.schedule import WidthPartition
-from ..observability.state import STATE as _OBS_STATE
+from ..passes.registry import SCHEDULERS
 from ..sparse.csr import INDEX_DTYPE
 
-__all__ = ["chunk_by_cost", "chunk_by_count", "SCHEDULERS", "register_scheduler", "get_scheduler"]
+__all__ = ["chunk_by_cost", "chunk_by_count", "SCHEDULERS", "get_scheduler"]
 
 
 def chunk_by_cost(vertices: np.ndarray, cost: np.ndarray, p: int) -> List[np.ndarray]:
@@ -57,50 +57,7 @@ def chunk_by_count(vertices: np.ndarray, p: int) -> List[np.ndarray]:
     return [vertices[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
-def partitions_from_chunks(chunks: List[np.ndarray]) -> List[WidthPartition]:
-    """Wrap chunk arrays as width-partitions on cores ``0..len-1``."""
-    return [WidthPartition(core=i, vertices=ch) for i, ch in enumerate(chunks)]
-
-
-#: name -> schedule builder ``(g, cost, p, **opts) -> Schedule``
-SCHEDULERS: Dict[str, Callable] = {}
-
-
-def register_scheduler(name: str) -> Callable:
-    """Decorator adding a builder to :data:`SCHEDULERS`.
-
-    The registry entry is wrapped with an ``inspect/<name>`` span and a
-    per-inspector run counter when the ambient observability state is on
-    (``hdagg-bench trace``); disabled, the wrapper costs one attribute
-    read.  The decorated function itself is returned unwrapped, so direct
-    module-level calls (and the inspectors' own internal reuse of each
-    other) stay uninstrumented — only registry dispatch is observed.
-    """
-
-    def deco(fn: Callable) -> Callable:
-        @functools.wraps(fn)
-        def dispatch(*args, **options):
-            if not _OBS_STATE.enabled:
-                return fn(*args, **options)
-            attrs = {}
-            if args:
-                attrs["n"] = int(getattr(args[0], "n", -1))
-            p = options.get("p", args[2] if len(args) > 2 else None)
-            if p is not None:
-                attrs["p"] = int(p)
-            with _OBS_STATE.tracer.span(f"inspect/{name}", **attrs):
-                schedule = fn(*args, **options)
-            if _OBS_STATE.registry is not None:
-                _OBS_STATE.registry.counter(f"inspector.runs.{name}").inc()
-            return schedule
-
-        SCHEDULERS[name] = dispatch
-        return fn
-
-    return deco
-
-
-def get_scheduler(name: str) -> Callable:
+def get_scheduler(name: str) -> Callable[..., Any]:
     """Look up a registered scheduler; raises ``KeyError`` with choices listed."""
     try:
         return SCHEDULERS[name]

@@ -34,14 +34,9 @@ from ..core.schedule import Schedule, WidthPartition
 from ..graph.connected_components import components_as_lists
 from ..graph.dag import DAG
 from ..graph.wavefronts import level_of_vertices
-from ..passes.registry import run_scheduler_group
 from ..sparse.csr import INDEX_DTYPE
-from .base import register_scheduler
 
-__all__ = ["dagp_schedule", "dagp_body", "acyclic_partition", "edge_cut"]
-
-#: The paper's best-performing part count for DAGP.
-DEFAULT_K = 1000
+__all__ = ["dagp_body", "acyclic_partition", "edge_cut"]
 
 
 def _split_components(
@@ -117,21 +112,13 @@ def edge_cut(g: DAG, labels: np.ndarray) -> int:
     return int(np.count_nonzero(labels[src] != labels[dst]))
 
 
-@register_scheduler("dagp")
-def dagp_schedule(g: DAG, cost: np.ndarray, p: int, k: int = DEFAULT_K) -> Schedule:
+def dagp_body(g: DAG, cost: np.ndarray, p: int, k: int) -> Schedule:
     """Partition into ``k`` parts, then list-schedule the quotient DAG.
 
-    Runs the ``"dagp"`` pass group, whose single
-    ``dagp-partition-quotient`` pass is :func:`dagp_body`.
+    The single ``dagp-partition-quotient`` pass of the ``"dagp"`` group.
     """
-    cost = np.asarray(cost, dtype=np.float64)
     if g.n == 0:
         return Schedule(n=0, levels=[], sync="barrier", algorithm="dagp", n_cores=p)
-    return run_scheduler_group("dagp", g, cost, p, options={"k": k})
-
-
-def dagp_body(g: DAG, cost: np.ndarray, p: int, k: int) -> Schedule:
-    """The DAGP algorithm proper (the ``dagp-partition-quotient`` pass)."""
     labels = acyclic_partition(g, cost, k)
     n_parts = int(labels.max()) + 1
 

@@ -39,15 +39,12 @@ from typing import List
 import numpy as np
 
 from ..core.binpack import first_fit_pack
-from ..core.pgp import DEFAULT_EPSILON, pgp
+from ..core.pgp import pgp
 from ..core.schedule import Schedule, WidthPartition
 from ..graph.dag import DAG
-from ..passes.registry import run_scheduler_group
 from ..sparse.csr import INDEX_DTYPE
-from .base import register_scheduler
 
 __all__ = [
-    "lbc_schedule",
     "lbc_body",
     "elimination_tree",
     "tree_levels",
@@ -130,21 +127,13 @@ def _partitions_from_packing(comps, packing, p: int):
     return parts
 
 
-@register_scheduler("lbc")
-def lbc_schedule(g: DAG, cost: np.ndarray, p: int, epsilon: float = DEFAULT_EPSILON) -> Schedule:
+def lbc_body(g: DAG, cost: np.ndarray, p: int, epsilon: float) -> Schedule:
     """Two-level LBC: packed etree subtrees below one cut, tail above it.
 
-    Runs the ``"lbc"`` pass group, whose single ``lbc-etree-cut`` pass is
-    :func:`lbc_body`.
+    The single ``lbc-etree-cut`` pass of the ``"lbc"`` group.
     """
-    cost = np.asarray(cost, dtype=np.float64)
     if g.n == 0:
         return Schedule(n=0, levels=[], sync="barrier", algorithm="lbc", n_cores=p)
-    return run_scheduler_group("lbc", g, cost, p, epsilon=epsilon)
-
-
-def lbc_body(g: DAG, cost: np.ndarray, p: int, epsilon: float) -> Schedule:
-    """The LBC algorithm proper (the ``lbc-etree-cut`` pass implementation)."""
     parent = elimination_tree(g)
     height = tree_levels(parent)
     max_h = int(height.max())

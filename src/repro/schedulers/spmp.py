@@ -15,21 +15,18 @@ instead of stalling at a barrier.  This is why SpMP holds the best
 load-balance numbers in the paper's Figures 6/7.  Locality is still
 wavefront-ordered, which is what HDagg improves on.
 
-``lpt_assign`` (longest-processing-time-first greedy) is kept here as a
-shared utility for schedulers that do scrambled balanced placement (DAGP's
-quotient levels).
+The stages live in :mod:`repro.passes.baselines` (the shared
+``wavefronts`` pass plus a p2p-sync emit pass).  ``lpt_assign``
+(longest-processing-time-first greedy) is kept here as a shared utility
+for schedulers that do scrambled balanced placement (DAGP's quotient
+levels).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.schedule import Schedule
-from ..graph.dag import DAG
-from ..passes.registry import run_scheduler_group
-from .base import register_scheduler
-
-__all__ = ["spmp_schedule", "lpt_assign"]
+__all__ = ["lpt_assign"]
 
 
 def lpt_assign(costs: np.ndarray, p: int) -> np.ndarray:
@@ -46,14 +43,3 @@ def lpt_assign(costs: np.ndarray, p: int) -> np.ndarray:
         assignment[k] = b
         loads[b] += costs[k]
     return assignment
-
-
-@register_scheduler("spmp")
-def spmp_schedule(g: DAG, cost: np.ndarray, p: int) -> Schedule:
-    """Per-level contiguous cost-balanced groups, ``sync="p2p"``.
-
-    Runs the ``"spmp"`` pass group (shared ``wavefronts`` pass + a
-    p2p-sync emit pass — see :mod:`repro.passes.baselines`).
-    """
-    cost = np.asarray(cost, dtype=np.float64)
-    return run_scheduler_group("spmp", g, cost, p)

@@ -9,7 +9,7 @@ resolution ladder, each rung observable in the result's ``source``:
 ``store``
     the persistent :class:`~repro.store.ScheduleStore` (L2) — reads are
     retried with backoff on transient I/O errors, and every store hit is
-    re-verified with ``assert_schedule_safe`` before being served (a
+    re-verified with ``verify_dependences`` before being served (a
     record that decodes but is unsafe for the request's DAG is
     quarantined, never returned);
 ``inspected``
@@ -204,8 +204,9 @@ class ScheduleBroker:
         :func:`retry_with_backoff` policy for transient store reads and
         crashed inspection workers.
     validate:
-        Re-verify L1 hits and store hits with ``assert_schedule_safe``
-        before serving (the degradation chain always validates fresh
+        Re-verify L1 hits and store hits with ``verify_dependences``
+        (without stamping the shared schedule's meta) before serving
+        (the degradation chain always validates fresh
         inspections).  Leave on in production; benchmarks measuring pure
         lookup latency may disable it.
     """
@@ -264,13 +265,14 @@ class ScheduleBroker:
     def _safe(self, schedule: Schedule, g: DAG) -> bool:
         if not self.validate:
             return True
-        from ..analysis.verifier import assert_schedule_safe
+        # a hit is shared by every caller of its key: verify it without
+        # stamping the verify time into its meta
+        from ..analysis.verifier import verify_dependences
 
         try:
-            assert_schedule_safe(schedule, g)
+            return verify_dependences(schedule, g, max_witnesses=1, stamp_meta=False).ok
         except Exception:
             return False
-        return True
 
     # ------------------------------------------------------------------
     # telemetry helpers — all dormant behind the ambient switch

@@ -55,6 +55,7 @@ from ..metrics.nre import inspector_cost_model, nre
 from ..metrics.parallelism import dag_shape
 from ..metrics.synchronization import equivalent_p2p_syncs
 from ..observability.state import STATE as _OBS_STATE
+from ..passes.registry import PASS_GROUPS, SCHEDULERS
 from ..resilience.degrade import inspect_with_fallback
 from ..resilience.failures import FailureRecord
 from ..resilience.faults import fault_point
@@ -62,7 +63,6 @@ from ..resilience.journal import RunJournal
 from ..resilience.retry import RetryExhausted, retry_with_backoff
 from ..runtime.machine import MACHINES, MachineConfig
 from ..runtime.simulator import SimulationResult, simulate
-from ..schedulers import SCHEDULERS
 from ..sparse.csr import CSRMatrix
 from ..sparse.ordering import apply_ordering
 from ..sparse.sanitize import SanitizeReport, sanitize_csr
@@ -398,8 +398,8 @@ class Harness:
                         _OBS_STATE.tracer.instant(
                             f"suite/cell[{spec.name},{kname},{algo},{machine.name}]"
                         )
-                    uses_epsilon = algo in ("hdagg", "lbc")
-                    backend_desc = self.backend.describe() if algo == "hdagg" else ""
+                    inputs = PASS_GROUPS[algo].inputs
+                    backend_desc = self.backend.describe() if "Backend" in inputs else ""
                     incremental = algo == "hdagg" and isinstance(
                         self.schedule_cache, IncrementalScheduleCache
                     )
@@ -411,7 +411,7 @@ class Harness:
                             kernel=kname,
                             algorithm=algo,
                             p=machine.n_cores,
-                            epsilon=self.epsilon if uses_epsilon else None,
+                            epsilon=self.epsilon if "Epsilon" in inputs else None,
                             backend=backend_desc,
                         )
                         if not incremental:
@@ -476,10 +476,10 @@ class Harness:
                             g,
                             cost,
                             machine.n_cores,
-                            epsilon=self.epsilon if uses_epsilon else None,
+                            epsilon=self.epsilon,
                             budget=self.inspector_budget,
                             validate=self.validate,
-                            backend=self.backend if algo == "hdagg" else None,
+                            backend=self.backend,
                         )
                         schedule = outcome.schedule
                         used_algo = outcome.algorithm
@@ -487,20 +487,13 @@ class Harness:
                         degraded_from = outcome.degraded_from
                     else:
                         fault_point("inspector", label=algo)
-                        if algo == "hdagg":
-                            schedule = SCHEDULERS[algo](
-                                g,
-                                cost,
-                                machine.n_cores,
-                                epsilon=self.epsilon,
-                                backend=self.backend,
-                            )
-                        elif uses_epsilon:
-                            schedule = SCHEDULERS[algo](
-                                g, cost, machine.n_cores, epsilon=self.epsilon
-                            )
-                        else:
-                            schedule = SCHEDULERS[algo](g, cost, machine.n_cores)
+                        schedule = SCHEDULERS[algo](
+                            g,
+                            cost,
+                            machine.n_cores,
+                            epsilon=self.epsilon,
+                            backend=self.backend,
+                        )
                         if self.validate:
                             # structural check + dependence witness extraction;
                             # stamps "verify" into meta["stage_seconds"] so the

@@ -105,35 +105,40 @@ def _mesh_dag_and_cost(mesh_nd):
     return g, cost
 
 
+def _levels(schedule):
+    return [[(wp.core, wp.vertices.tolist()) for wp in level] for level in schedule.levels]
+
+
 @pytest.mark.parametrize("name", ["wavefront", "spmp", "mkl", "lbc", "dagp"])
 def test_scheduler_group_matches_public_function(name, mesh_nd):
-    """Running the registered group is the scheduler function, bit for bit."""
+    """The registry entry is its group run over a hand-seeded context, bit
+    for bit: the driver adds option defaults and nothing else."""
     g, cost = _mesh_dag_and_cost(mesh_nd)
-    kwargs = {"epsilon": 0.1} if name == "lbc" else {}
-    options = {"k": 1000} if name == "dagp" else None
-    via_group = run_scheduler_group(name, g, cost, 4, options=options, **kwargs)
-    via_function = SCHEDULERS[name](g, cost, 4)
-    assert via_group.algorithm == via_function.algorithm
-    assert via_group.execution_order().tolist() == via_function.execution_order().tolist()
-    assert [
-        [(wp.core, wp.vertices.tolist()) for wp in level] for level in via_group.levels
-    ] == [
-        [(wp.core, wp.vertices.tolist()) for wp in level] for level in via_function.levels
-    ]
+    group = get_pass_group(name)
+    artifacts = {"DAG": g, "Cost": np.asarray(cost, dtype=np.float64), "Cores": 4}
+    if "Epsilon" in group.inputs:
+        artifacts["Epsilon"] = 0.1
+    by_hand = run_group(group, PassContext(artifacts, options=group.options))["Schedule"]
+    via_registry = SCHEDULERS[name](g, cost, 4, epsilon=0.1)
+    assert by_hand.algorithm == via_registry.algorithm
+    assert by_hand.execution_order().tolist() == via_registry.execution_order().tolist()
+    assert _levels(by_hand) == _levels(via_registry)
+    assert by_hand.meta == via_registry.meta
 
 
 def test_hdagg_group_runs_through_uniform_driver(mesh_nd):
-    """run_scheduler_group handles hdagg too: it coerces the backend spec
-    and seeds the Backend artifact (epsilon accepted via options as well)."""
+    """``SCHEDULERS["hdagg"]``, ``hdagg()`` and the driver called directly
+    run one group through one driver: same schedule, same stage timer
+    windows, same coerced backend."""
+    from repro.core import hdagg
+
     g, cost = _mesh_dag_and_cost(mesh_nd)
-    via_group = run_scheduler_group("hdagg", g, cost, 4, options={"epsilon": 0.5})
-    via_function = SCHEDULERS["hdagg"](g, cost, 4, epsilon=0.5)
-    assert via_group.execution_order().tolist() == via_function.execution_order().tolist()
-    assert [
-        [(wp.core, wp.vertices.tolist()) for wp in level] for level in via_group.levels
-    ] == [
-        [(wp.core, wp.vertices.tolist()) for wp in level] for level in via_function.levels
-    ]
+    via_registry = SCHEDULERS["hdagg"](g, cost, 4, epsilon=0.5)
+    via_function = hdagg(g, cost, 4, 0.5)
+    ctx = run_scheduler_group(get_pass_group("hdagg"), g, cost, 4, epsilon=0.5)
+    assert _levels(via_registry) == _levels(via_function) == _levels(ctx["Schedule"])
+    assert set(via_registry.meta["stage_seconds"]) == set(via_function.meta["stage_seconds"])
+    assert ctx["Backend"] == via_registry.meta["backend"] == via_function.meta["backend"]
 
 
 def test_hdagg_group_runs_standalone():
@@ -142,11 +147,13 @@ def test_hdagg_group_runs_standalone():
 
     g = DAG.from_edges(6, [0, 1, 2, 3, 4], [1, 2, 3, 4, 5])
     cost = np.ones(6)
+    group = get_pass_group("hdagg")
     ctx = PassContext(
         {"DAG": g, "Cost": cost, "Cores": 2, "Epsilon": 0.1, "Backend": "numpy"},
         spec=BackendSpec.coerce(None),
+        options=group.options,
     )
-    run_group(get_pass_group("hdagg"), ctx)
+    run_group(group, ctx)
     schedule = ctx["Schedule"]
     schedule.validate(g)
     via_driver = SCHEDULERS["hdagg"](g, cost, 2, epsilon=0.1)

@@ -80,3 +80,41 @@ def test_more_cores_than_vertices(name):
     g = dag_from_matrix_lower(a)
     s = build(name, g, np.ones(9), 32)
     s.validate(g)
+
+
+# ----------------------------------------------------------------------
+# the registry's uniform calling convention, over every registered entry
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def mesh_problem(mesh_nd):
+    g = dag_from_matrix_lower(mesh_nd)
+    return g, KERNELS["spilu0"].cost(mesh_nd)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULERS))
+def test_entry_runs_with_only_g_cost_p(name, mesh_problem):
+    """Every option has a default declared by the scheduler's group."""
+    g, cost = mesh_problem
+    SCHEDULERS[name](g, cost, 4).validate(g)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULERS))
+def test_entry_accepts_epsilon_and_backend_none(name, mesh_problem):
+    """Callers pass ``epsilon=`` / ``backend=`` to every scheduler; ``None``
+    is the default, and a scheduler without the input ignores them."""
+    g, cost = mesh_problem
+    s = SCHEDULERS[name](g, cost, 4, epsilon=None, backend=None)
+    assert s.execution_order().tolist() == SCHEDULERS[name](g, cost, 4).execution_order().tolist()
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULERS))
+def test_entry_rejects_an_unknown_option(name, mesh_problem):
+    g, cost = mesh_problem
+    with pytest.raises(TypeError, match="kk"):
+        SCHEDULERS[name](g, cost, 4, kk=3)
+
+
+def test_coarsenk_rejects_window_zero(mesh_problem):
+    g, cost = mesh_problem
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        SCHEDULERS["coarsenk"](g, cost, 4, k=0)

@@ -5,6 +5,7 @@ Concurrency tests block the leader inside a patched
 is forced rather than raced.
 """
 
+import copy
 import threading
 import time
 
@@ -69,6 +70,18 @@ class TestResolutionLadder:
         s = broker.stats
         assert (s.requests, s.inspected, s.memory_hits) == (2, 1, 1)
         assert s.hit_rate == 0.5
+
+    def test_memory_hits_leave_the_served_schedule_meta_unchanged(self, request_a):
+        """Every hit on a key serves one shared Schedule object, so
+        re-verifying a hit must not write into it (stage timings grew by
+        one verify time per hit, and concurrent workers raced on the dict)."""
+        broker = ScheduleBroker()
+        served = broker.request(request_a).schedule
+        before = copy.deepcopy(served.meta)
+        for _ in range(3):
+            hit = broker.request(request_a)
+            assert hit.source == "memory" and hit.schedule is served
+        assert served.meta == before
 
     def test_store_hit_survives_process_restart(self, tmp_path, request_a):
         root = tmp_path / "store"
