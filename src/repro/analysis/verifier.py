@@ -87,22 +87,11 @@ def find_dependence_witnesses(
         return []
     src, dst = g.edge_list()
     return dependence_witnesses(
-        schedule.level_of(),
-        schedule.partition_of(),
-        schedule.position_of(),
-        src,
-        dst,
-        max_witnesses=max_witnesses,
+        *schedule._flat().coordinates(), src, dst, max_witnesses=max_witnesses
     )
 
 
-def _count_violations(schedule: Schedule, g: DAG) -> int:
-    if g.n_edges == 0:
-        return 0
-    level = schedule.level_of()
-    pid = schedule.partition_of()
-    pos = schedule.position_of()
-    src, dst = g.edge_list()
+def _count_violations(level, pid, pos, src, dst) -> int:
     ok = (level[src] < level[dst]) | ((pid[src] == pid[dst]) & (pos[src] < pos[dst]))
     return int(np.count_nonzero(~ok))
 
@@ -119,8 +108,10 @@ def verify_dependences(
 
     With ``structural`` set (default) the partition-cover / core-uniqueness
     invariants are checked first — a schedule that does not even cover the
-    vertex set cannot be reasoned about edge-wise.  With ``stamp_meta`` the
-    verification wall-clock is accumulated into
+    vertex set cannot be reasoned about edge-wise.  A vertex-count mismatch
+    or an out-of-range vertex id is a structural error either way.  The
+    schedule is flattened once per call for both halves of the check.
+    With ``stamp_meta`` the verification wall-clock is accumulated into
     ``schedule.meta["stage_seconds"]["verify"]`` so harness records report
     verifier runtime next to the inspector stages.
     """
@@ -129,15 +120,16 @@ def verify_dependences(
     witnesses: List[DependenceWitness] = []
     n_violations = 0
     with timer.stage(VERIFY_STAGE):
-        if structural:
-            try:
-                schedule.validate(g, check_dependences=False)
-            except ScheduleError as exc:
-                structural_error = str(exc)
-        if structural_error is None:
-            witnesses = find_dependence_witnesses(schedule, g, max_witnesses=max_witnesses)
+        flat = schedule._flat()
+        # without coordinates for every endpoint there is no edge check
+        if structural or not flat.addressable(g.n):
+            structural_error = flat.structural_error(g.n)
+        if structural_error is None and g.n_edges:
+            coords = flat.coordinates()
+            src, dst = g.edge_list()
+            witnesses = dependence_witnesses(*coords, src, dst, max_witnesses=max_witnesses)
             if witnesses:
-                n_violations = _count_violations(schedule, g)
+                n_violations = _count_violations(*coords, src, dst)
     if stamp_meta:
         stages = schedule.meta.setdefault("stage_seconds", {})
         stages[VERIFY_STAGE] = stages.get(VERIFY_STAGE, 0.0) + timer.total

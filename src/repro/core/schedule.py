@@ -170,6 +170,123 @@ class WidthPartition:
         return float(vertex_cost[self.vertices].sum())
 
 
+class _FlatLayout:
+    """A schedule's width-partitions concatenated into one slot array.
+
+    Slot ``s`` holds vertex ``vertices[s]``; each partition is one
+    contiguous run of slots, in schedule order (levels in order, partitions
+    in list order).  The structural check and the per-vertex level /
+    partition / position maps all derive from these arrays with numpy, so
+    only the constructor walks the partitions in Python.
+    """
+
+    __slots__ = ("n", "vertices", "sizes", "cores", "part_level")
+
+    def __init__(self, schedule: "Schedule") -> None:
+        parts = [part for level in schedule.levels for part in level]
+        self.n = schedule.n
+        self.part_level = np.repeat(
+            np.arange(len(schedule.levels), dtype=INDEX_DTYPE),
+            [len(level) for level in schedule.levels],
+        )
+        self.sizes = np.array([part.vertices.shape[0] for part in parts], dtype=INDEX_DTYPE)
+        self.cores = np.array([part.core for part in parts], dtype=INDEX_DTYPE)
+        self.vertices = (
+            np.concatenate([part.vertices for part in parts])
+            if parts
+            else np.empty(0, dtype=INDEX_DTYPE)
+        )
+
+    def slot_level(self) -> np.ndarray:
+        return np.repeat(self.part_level, self.sizes)
+
+    def slot_pid(self) -> np.ndarray:
+        return np.repeat(np.arange(self.sizes.shape[0], dtype=INDEX_DTYPE), self.sizes)
+
+    def slot_pos(self) -> np.ndarray:
+        starts = np.cumsum(self.sizes) - self.sizes
+        return np.arange(self.vertices.shape[0], dtype=INDEX_DTYPE) - np.repeat(starts, self.sizes)
+
+    def scatter(self, slot_values: np.ndarray) -> np.ndarray:
+        """Per-vertex map from per-slot values; ``-1`` where unscheduled."""
+        out = np.full(self.n, -1, dtype=INDEX_DTYPE)
+        out[self.vertices] = slot_values
+        return out
+
+    def coordinates(self) -> tuple:
+        """Per-vertex ``(level, partition, position)`` maps."""
+        return (
+            self.scatter(self.slot_level()),
+            self.scatter(self.slot_pid()),
+            self.scatter(self.slot_pos()),
+        )
+
+    def _core_clashes(self) -> np.ndarray:
+        """Per partition: its static core is already taken earlier in its level."""
+        clash = np.zeros(self.cores.shape[0], dtype=bool)
+        static = np.nonzero(self.cores >= 0)[0]
+        if static.shape[0] < 2:
+            return clash
+        level, core = self.part_level[static], self.cores[static]
+        order = np.lexsort((core, level))  # stable: the earliest user leads
+        same = (level[order[1:]] == level[order[:-1]]) & (core[order[1:]] == core[order[:-1]])
+        clash[static[order[1:][same]]] = True
+        return clash
+
+    def addressable(self, dag_n: int) -> bool:
+        """True when every edge of a ``dag_n``-vertex DAG has coordinates here."""
+        v = self.vertices
+        return dag_n == self.n and (v.shape[0] == 0 or bool(v.min() >= 0 and v.max() < self.n))
+
+    def structural_error(self, dag_n: int) -> Optional[str]:
+        """The first structural defect against a ``dag_n``-vertex DAG, or ``None``.
+
+        After the vertex and slot counts, the checks run partition by
+        partition in schedule order: ids in range, then no vertex of an
+        earlier partition, then no core reused within the level.  Vertices
+        never scheduled are reported last.
+        """
+        n, v = self.n, self.vertices
+        if dag_n != n:
+            return f"schedule covers {n} vertices, DAG has {dag_n}"
+        if v.shape[0] != n:
+            return (
+                f"schedule holds {v.shape[0]} vertex slots for {n} vertices "
+                "(duplicate or missing entries)"
+            )
+        in_range = (v >= 0) & (v < n)
+        clash = self._core_clashes()
+        all_in_range = bool(in_range.all())
+        if all_in_range and not clash.any() and np.all(np.bincount(v, minlength=n) == 1):
+            return None
+        # slow path: locate the first defect as (partition, check, message)
+        pid = self.slot_pid()
+        defects = []
+        if not all_in_range:
+            s = int(np.argmin(in_range))
+            k = int(self.part_level[pid[s]])
+            defects.append((int(pid[s]), 0, f"vertex id {int(v[s])} out of range [0, {n}) (level {k})"))
+        ok = np.nonzero(in_range)[0]
+        first_pid = np.full(n, self.sizes.shape[0], dtype=INDEX_DTYPE)
+        np.minimum.at(first_pid, v[ok], pid[ok])
+        repeated = ok[pid[ok] > first_pid[v[ok]]]
+        if repeated.shape[0]:
+            j = int(pid[repeated[0]])
+            defects.append((j, 1, f"vertex scheduled twice (level {int(self.part_level[j])})"))
+        if clash.any():
+            j = int(np.argmax(clash))
+            defects.append((
+                j,
+                2,
+                f"core {int(self.cores[j])} used by two width-partitions "
+                f"in level {int(self.part_level[j])}",
+            ))
+        if defects:
+            return min(defects)[2]
+        missing = np.nonzero(np.bincount(v, minlength=n) == 0)[0][:5].tolist()
+        return f"vertices never scheduled: {missing}"
+
+
 @dataclass
 class Schedule:
     """A complete execution plan for one sparse kernel instance.
@@ -242,26 +359,29 @@ class Schedule:
             return np.empty(0, dtype=INDEX_DTYPE)
         return np.concatenate(chunks)
 
+    def _flat(self) -> "_FlatLayout":
+        """This schedule's partitions flattened into one slot array.
+
+        Computed per call, never cached: a schedule mutated after
+        construction (by the mutation harness, say) must be judged as it
+        is now.
+        """
+        return _FlatLayout(self)
+
     def level_of(self) -> np.ndarray:
         """Per-vertex coarsened-wavefront index."""
-        out = np.full(self.n, -1, dtype=INDEX_DTYPE)
-        for k, part in self.iter_partitions():
-            out[part.vertices] = k
-        return out
+        flat = self._flat()
+        return flat.scatter(flat.slot_level())
 
     def partition_of(self) -> np.ndarray:
         """Per-vertex global width-partition index (schedule order)."""
-        out = np.full(self.n, -1, dtype=INDEX_DTYPE)
-        for pid, (_, part) in enumerate(self.iter_partitions()):
-            out[part.vertices] = pid
-        return out
+        flat = self._flat()
+        return flat.scatter(flat.slot_pid())
 
     def position_of(self) -> np.ndarray:
         """Per-vertex position within its width-partition."""
-        out = np.full(self.n, -1, dtype=INDEX_DTYPE)
-        for _, part in self.iter_partitions():
-            out[part.vertices] = np.arange(part.size, dtype=INDEX_DTYPE)
-        return out
+        flat = self._flat()
+        return flat.scatter(flat.slot_pos())
 
     def core_assignment(self) -> np.ndarray:
         """Per-vertex core id (-1 where dynamically scheduled)."""
@@ -298,8 +418,10 @@ class Schedule:
     def validate(self, g: DAG, *, check_dependences: bool = True) -> None:
         """Raise :class:`ScheduleError` unless the schedule is well-formed.
 
-        Structural: the width-partitions exactly partition ``range(n)`` and
-        per-level core ids are unique (when statically assigned).
+        Structural: the width-partitions exactly partition ``range(n)`` (every
+        id in ``[0, n)``, each exactly once) and per-level core ids are
+        unique (when statically assigned).  The first defect is reported in
+        schedule order.
 
         Dependences: every edge ``u -> v`` must satisfy
         ``level(u) < level(v)``, or ``u`` and ``v`` share a width-partition
@@ -308,37 +430,14 @@ class Schedule:
         p2p: partitions may overlap across levels but a partition never
         waits mid-stream for a same-level peer).
         """
-        if g.n != self.n:
-            raise ScheduleError(f"schedule covers {self.n} vertices, DAG has {g.n}")
-        total = sum(part.size for _, part in self.iter_partitions())
-        if total != self.n:
-            raise ScheduleError(
-                f"schedule holds {total} vertex slots for {self.n} vertices "
-                "(duplicate or missing entries)"
-            )
-        seen = np.zeros(self.n, dtype=bool)
-        for k, level in enumerate(self.levels):
-            used_cores = set()
-            for part in level:
-                if np.any(seen[part.vertices]):
-                    raise ScheduleError(f"vertex scheduled twice (level {k})")
-                seen[part.vertices] = True
-                if part.core >= 0:
-                    if part.core in used_cores:
-                        raise ScheduleError(
-                            f"core {part.core} used by two width-partitions in level {k}"
-                        )
-                    used_cores.add(part.core)
-        if not np.all(seen):
-            missing = np.nonzero(~seen)[0][:5].tolist()
-            raise ScheduleError(f"vertices never scheduled: {missing}")
+        flat = self._flat()
+        error = flat.structural_error(g.n)
+        if error is not None:
+            raise ScheduleError(error)
         if not check_dependences or g.n_edges == 0:
             return
-        level = self.level_of()
-        pid = self.partition_of()
-        pos = self.position_of()
         src, dst = g.edge_list()
-        witnesses = dependence_witnesses(level, pid, pos, src, dst, max_witnesses=1)
+        witnesses = dependence_witnesses(*flat.coordinates(), src, dst, max_witnesses=1)
         if witnesses:
             raise ScheduleError(witnesses[0].describe(), witness=witnesses[0])
 

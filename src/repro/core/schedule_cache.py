@@ -35,6 +35,19 @@ __all__ = ["CacheStats", "ScheduleCache", "schedule_key"]
 _KEY_VERSION = b"repro-schedule-key-v2\0"
 
 
+def _structure_hash(g: DAG):
+    """The sha256 state after the key version and ``g``'s structure, memoised on ``g``."""
+    h = g._key_memo
+    if h is None:
+        h = sha256(_KEY_VERSION)
+        h.update(np.int64(g.n).tobytes())
+        h.update(np.int64(g.n_edges).tobytes())
+        h.update(np.ascontiguousarray(g.indptr).tobytes())
+        h.update(np.ascontiguousarray(g.indices).tobytes())
+        g._key_memo = h
+    return h
+
+
 def schedule_key(
     g: DAG,
     *,
@@ -58,11 +71,7 @@ def schedule_key(
     cache hit must never mask a tier divergence from the differential
     tests, and provenance (which tier built this schedule) must stay exact.
     """
-    h = sha256(_KEY_VERSION)
-    h.update(np.int64(g.n).tobytes())
-    h.update(np.int64(g.n_edges).tobytes())
-    h.update(np.ascontiguousarray(g.indptr).tobytes())
-    h.update(np.ascontiguousarray(g.indices).tobytes())
+    h = _structure_hash(g).copy()
     if cost is not None:
         h.update(b"cost\0")
         h.update(np.ascontiguousarray(cost, dtype=np.float64).tobytes())

@@ -62,7 +62,7 @@ class DAG:
         :func:`repro.graph.topological.topological_order` when needed.
     """
 
-    __slots__ = ("n", "indptr", "indices", "_in_ptr", "_in_idx")
+    __slots__ = ("n", "indptr", "indices", "_in_ptr", "_in_idx", "_key_memo")
 
     def __init__(self, n: int, indptr, indices, *, check: bool = True) -> None:
         self.n = int(n)
@@ -70,8 +70,22 @@ class DAG:
         self.indices = np.ascontiguousarray(indices, dtype=INDEX_DTYPE)
         self._in_ptr: np.ndarray | None = None
         self._in_idx: np.ndarray | None = None
+        # sha256 state over this DAG's structure, kept by schedule_key
+        self._key_memo = None
         if check:
             self._validate()
+        self.indptr.flags.writeable = False
+        self.indices.flags.writeable = False
+
+    def __getstate__(self) -> dict:
+        # the key memo is a hashlib object, which cannot be pickled or
+        # copied; the receiving side rebuilds it on its first key
+        return {name: getattr(self, name) for name in self.__slots__ if name != "_key_memo"}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._key_memo = None
         self.indptr.flags.writeable = False
         self.indices.flags.writeable = False
 
