@@ -38,11 +38,13 @@ def _adjacency(a: CSRMatrix) -> tuple[np.ndarray, np.ndarray]:
     )
     cols = np.concatenate([a.indices, at.indices])
     keep = rows != cols
-    rows, cols = rows[keep], cols[keep]
-    pair = np.unique(np.stack([rows, cols], axis=1), axis=0)
+    # one int64 key per (row, col): a 1-D unique sorts exactly as the
+    # row-major pair order, far faster than np.unique(axis=0)
+    key = np.unique(rows[keep] * n + cols[keep])
+    row, col = np.divmod(key, max(n, 1))
     indptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
-    np.cumsum(np.bincount(pair[:, 0], minlength=n), out=indptr[1:])
-    return indptr, np.ascontiguousarray(pair[:, 1])
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+    return indptr, col.astype(INDEX_DTYPE, copy=False)
 
 
 def _pseudo_peripheral(indptr: np.ndarray, indices: np.ndarray, start: int) -> int:
@@ -103,8 +105,63 @@ def rcm(a: CSRMatrix) -> np.ndarray:
     return perm
 
 
-def _bfs_bisect(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split ``nodes`` into (left, right, separator) via BFS level halving.
+def _bfs_bisect(
+    ptr: list, idx: list, nodes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split ascending ``nodes`` into (left, right, separator) via BFS level halving.
+
+    BFS from ``nodes[0]`` to find the last-discovered (far) vertex, then BFS
+    again from it; the level that first covers half of the reached vertices
+    becomes the separator, and vertices the BFS never reached go right.
+    Only the first pass must keep FIFO discovery order (it picks ``far``);
+    the second needs distances alone, so it runs level by level.
+    ``ptr``/``idx`` are the adjacency as Python lists (built once per
+    ordering).  One dict holds subset membership and distance: ``-1`` not
+    yet reached, ``-2`` reached by the first pass, ``>= 0`` the distance
+    from ``far``.  Identical to :func:`_bfs_bisect_reference`.
+    """
+    node_list = nodes.tolist()
+    dist = dict.fromkeys(node_list, -1)
+    start = node_list[0]
+    dist[start] = -2
+    order = [start]
+    for v in order:  # the list grows while iterated: a FIFO queue
+        for w in idx[ptr[v] : ptr[v + 1]]:
+            if dist.get(w) == -1:
+                dist[w] = -2
+                order.append(w)
+    far = order[-1]
+    dist[far] = 0
+    frontier = [far]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for v in frontier:
+            for w in idx[ptr[v] : ptr[v + 1]]:
+                if dist.get(w) == -2:
+                    dist[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    # dict order is node order, so the masks below select ascending ids
+    level = np.fromiter(dist.values(), dtype=np.int64, count=len(node_list))
+    counts = np.bincount(level[level >= 0])
+    cum = np.cumsum(counts)
+    half = (int(cum[-1]) + 1) // 2
+    sep_level = min(int(np.searchsorted(cum, half)), counts.shape[0] - 1)
+    nodes = nodes.astype(INDEX_DTYPE, copy=False)
+    return (
+        nodes[(level >= 0) & (level < sep_level)],
+        nodes[(level > sep_level) | (level < 0)],
+        nodes[level == sep_level],
+    )
+
+
+def _bfs_bisect_reference(
+    indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Set/dict BFS over numpy scalars — the retained oracle for
+    :func:`_bfs_bisect`.
 
     BFS from a pseudo-peripheral vertex of the subgraph; the level that first
     covers half the vertices becomes the separator.
@@ -162,11 +219,11 @@ def nested_dissection(a: CSRMatrix, *, leaf_size: int = 64) -> np.ndarray:
     Partitions the graph recursively; separators are numbered last within
     their subproblem (the defining property of ND, which keeps factorisation
     DAGs shallow and bushy).  Subproblems of at most ``leaf_size`` vertices
-    are ordered by RCM restricted to the subgraph (approximated here by
-    sorted ids, which for small leaves is adequate).
+    keep their vertices in ascending id order.
     """
     n = a.n_rows
     indptr, indices = _adjacency(a)
+    ptr, idx = indptr.tolist(), indices.tolist()
     out: list[int] = []
 
     # Explicit work stack (left, right, then separator emitted last within
@@ -182,7 +239,7 @@ def nested_dissection(a: CSRMatrix, *, leaf_size: int = 64) -> np.ndarray:
         if nodes.shape[0] <= leaf_size:
             out.extend(nodes.tolist())
             continue
-        left, right, sep = _bfs_bisect(indptr, indices, nodes)
+        left, right, sep = _bfs_bisect(ptr, idx, nodes)
         if left.shape[0] == 0 or right.shape[0] == 0:
             # Degenerate split (e.g. complete graph): stop recursing.
             out.extend(nodes.tolist())

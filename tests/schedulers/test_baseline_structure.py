@@ -96,14 +96,17 @@ class TestLBC:
     def test_elimination_tree_structure(self, mesh):
         g = dag_from_matrix_lower(mesh)
         parent = elimination_tree(g)
-        n = g.n
-        roots = np.nonzero(parent < 0)[0]
-        assert roots.size >= 1
-        ok = parent[parent >= 0] if False else None
-        # parent(v) > v for all non-roots
-        for v in range(n):
-            if parent[v] >= 0:
-                assert parent[v] > v
+        v = np.arange(g.n)
+        assert np.any(parent < 0)  # at least one root
+        assert np.all((parent == -1) | (parent > v))  # parent(v) > v for non-roots
+        # heights strictly increase along parent pointers
+        level = tree_levels(parent)
+        child = parent >= 0
+        assert np.all(level[parent[child]] > level[child])
+
+    def test_elimination_tree_rejects_non_topological_dag(self):
+        with pytest.raises(ValueError, match="id-topological"):
+            elimination_tree(DAG.from_edges(3, [2], [0]))
 
     def test_etree_descendant_property(self, all_small_matrices):
         """Every dependence edge u -> v has u a descendant of v in etree."""
